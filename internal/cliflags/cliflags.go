@@ -20,7 +20,7 @@ import (
 
 // PrecisionUsage is the default -precision help text; commands with a
 // more specific engine description pass their own.
-const PrecisionUsage = "inference engine: f32 (packed fast path), int8 (quantized, fastest) or f64 (training numerics)"
+const PrecisionUsage = "inference engine: f32|f64 (f32 = packed SIMD fast path, f64 = training numerics)"
 
 // precisionValue adapts nn.Precision to flag.Value, so a bad
 // -precision argument fails at flag.Parse with the parser's usage

@@ -28,7 +28,7 @@ func TestPrecisionFlag(t *testing.T) {
 		t.Fatalf("default precision %v, want f32", *p)
 	}
 
-	for arg, want := range map[string]nn.Precision{"int8": nn.Int8, "f64": nn.F64, "float32": nn.F32} {
+	for arg, want := range map[string]nn.Precision{"f64": nn.F64, "float32": nn.F32} {
 		fs := newFS()
 		p := Precision(fs, "")
 		if err := fs.Parse([]string{"-precision", arg}); err != nil {
@@ -45,6 +45,17 @@ func TestPrecisionFlag(t *testing.T) {
 	err := fs.Parse([]string{"-precision", "f16"})
 	if err == nil || !strings.Contains(err.Error(), "f16") {
 		t.Fatalf("bad precision must fail at Parse, got %v", err)
+	}
+
+	// The removed int8 tier is a bad value too, and the error lists the
+	// legal ones.
+	for _, arg := range []string{"int8", "i8", "8"} {
+		fs = newFS()
+		Precision(fs, "")
+		err = fs.Parse([]string{"-precision", arg})
+		if err == nil || !strings.Contains(err.Error(), "f32") || !strings.Contains(err.Error(), "f64") {
+			t.Fatalf("-precision %s must fail at Parse listing f32 and f64, got %v", arg, err)
+		}
 	}
 }
 

@@ -2,15 +2,14 @@ package tensor
 
 // Axpy32 computes dst[i] += alpha·src[i] in place. The sparse one-hot
 // convolutions accumulate kernel rows into output rows with exactly
-// this shape (α = the input pixel value for f32, α = 1 for the
-// bit-packed int8 front end, where the multiply by 1.0 is exact), and
-// profiling shows those scatter-adds are the largest shared cost left
-// once the GEMMs and SELU run on the vector tier. Each output lane is
-// independent — no cross-lane reduction — and the AVX2 kernel uses
-// separate multiply and add instructions (no FMA), so every lane
-// performs the identical float32 operation sequence to the scalar loop
-// below: the tiers are BIT-IDENTICAL and dispatch safely follows the
-// runtime level (ActiveSIMD) rather than any snapshot's pack-time tier.
+// this shape (α = the input pixel value), and profiling shows those
+// scatter-adds are the largest cost left once the GEMMs and SELU run on
+// the vector tier. Each output lane is independent — no cross-lane
+// reduction — and the AVX2 kernel uses separate multiply and add
+// instructions (no FMA), so every lane performs the identical float32
+// operation sequence to the scalar loop below: the tiers are
+// BIT-IDENTICAL and dispatch safely follows the runtime level
+// (ActiveSIMD) rather than any snapshot's pack-time tier.
 func Axpy32(dst, src []float32, alpha float32) {
 	n := len(dst)
 	i := 0

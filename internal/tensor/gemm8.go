@@ -34,6 +34,11 @@
 // position, stride, or worker sharding — the same discipline as the f32
 // kernels, with an even stronger guarantee (no rounding until the one
 // dequantizing multiply per output element).
+//
+// No inference engine calls these kernels at present: the int8
+// precision tier of internal/nn was removed (DESIGN.md §3.6). They stay
+// here, fuzzed against their integer reference, as the base for a
+// future VNNI kernel.
 package tensor
 
 import (
