@@ -104,11 +104,14 @@ type strashUndo struct {
 const invalidLit = Lit(^uint32(0))
 
 // New returns an empty AIG containing only the constant node.
-func New() *AIG {
+func New() *AIG { return newSized(1024) }
+
+// newSized returns an empty AIG with room for n nodes.
+func newSized(n int) *AIG {
 	g := &AIG{
-		nodes:  make([]node, 1, 1024),
-		strash: make(map[strashKey]int, 1024),
-		repl:   make([]Lit, 1, 1024),
+		nodes:  make([]node, 1, n),
+		strash: make(map[strashKey]int, n),
+		repl:   make([]Lit, 1, n),
 	}
 	g.nodes[0] = node{kind: KindConst}
 	g.repl[0] = invalidLit
@@ -218,6 +221,9 @@ func (g *AIG) And(a, b Lit) Lit {
 	if a > b {
 		a, b = b, a
 	}
+	if g.strash == nil {
+		g.rehash()
+	}
 	key := strashKey{a, b}
 	if id, ok := g.strash[key]; ok {
 		if g.nodes[id].ref > 0 || !g.speculating {
@@ -248,6 +254,17 @@ func (g *AIG) And(a, b Lit) Lit {
 	}
 	g.strash[key] = id
 	return MakeLit(id, false)
+}
+
+// rehash rebuilds the structural-hash table of a graph that Cleanup left
+// without one.
+func (g *AIG) rehash() {
+	g.strash = make(map[strashKey]int, len(g.nodes))
+	for id, n := range g.nodes {
+		if n.kind == KindAnd {
+			g.strash[strashKey{n.f0, n.f1}] = id
+		}
+	}
 }
 
 // Or returns a literal for the disjunction of a and b.
@@ -531,10 +548,47 @@ func (g *AIG) AbortSpeculate(root int) {
 func (g *AIG) SpeculativeCreated() int { return len(g.nodes) - g.specMark }
 
 // Cleanup returns a compacted copy of the graph containing only live
-// logic, with fresh structural hashing. Primary input/output order and
-// names are preserved.
+// logic, with fresh structural hashing, renumbered in ForEachLiveAnd
+// order and sized to its node count. Primary input/output order and
+// names are preserved. The copy does not keep its structural-hash table:
+// most cleaned graphs are only mapped, fingerprinted or cached, and And
+// rebuilds the table on first use.
+//
+// After in-place replacement, a fanin can resolve to a node that lies in
+// the cone of its sibling, and live nodes can hash together or simplify
+// in the copy; the copy's own depth-first order then differs from the
+// numbering it was given, so it is compacted once more. Either way the
+// result is canonical: Cleanup of a Cleanup result returns the same
+// graph.
 func (g *AIG) Cleanup() *AIG {
-	ng := New()
+	ng := g.compact()
+	if !ng.canonical() {
+		ng = ng.compact()
+	}
+	return ng
+}
+
+// canonical reports whether ForEachLiveAnd visits every AND node of g in
+// ascending id order, which makes g its own compaction.
+func (g *AIG) canonical() bool {
+	next := 1 + len(g.pis)
+	ok := true
+	g.ForEachLiveAnd(func(id int) {
+		ok = ok && id == next
+		next++
+	})
+	return ok && next == len(g.nodes)
+}
+
+// compact copies the live logic of g in ForEachLiveAnd order into a
+// graph with room for exactly that many nodes.
+func (g *AIG) compact() *AIG {
+	ands := g.LiveAnds()
+	ng := newSized(1 + len(g.pis) + len(ands))
+	ng.pis = make([]int, 0, len(g.pis))
+	ng.pos = make([]Lit, 0, len(g.pos))
+	ng.piNames = make([]string, 0, len(g.pis))
+	ng.poNames = make([]string, 0, len(g.pos))
 	m := make([]Lit, len(g.nodes))
 	for i := range m {
 		m[i] = invalidLit
@@ -547,14 +601,15 @@ func (g *AIG) Cleanup() *AIG {
 		ml := m[l.Node()]
 		return ml.NotIf(l.IsNeg())
 	}
-	g.ForEachLiveAnd(func(id int) {
+	for _, id := range ands {
 		m[id] = ng.And(mapLit(g.Fanin0(id)), mapLit(g.Fanin1(id)))
-	})
+	}
 	for i := range g.pos {
 		ng.AddOutput(mapLit(g.PO(i)), g.poNames[i])
 	}
 	ng.RecomputeLevels()
 	ng.RecomputeRefs()
+	ng.strash = nil
 	return ng
 }
 

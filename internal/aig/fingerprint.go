@@ -26,12 +26,14 @@ func (g *AIG) Clone() *AIG {
 		pos:       append([]Lit(nil), g.pos...),
 		piNames:   append([]string(nil), g.piNames...),
 		poNames:   append([]string(nil), g.poNames...),
-		strash:    make(map[strashKey]int, len(g.strash)),
 		repl:      append([]Lit(nil), g.repl...),
 		touchNode: g.touchNode,
 	}
-	for k, v := range g.strash {
-		ng.strash[k] = v
+	if g.strash != nil {
+		ng.strash = make(map[strashKey]int, len(g.strash))
+		for k, v := range g.strash {
+			ng.strash[k] = v
+		}
 	}
 	return ng
 }
@@ -62,9 +64,9 @@ const (
 // transformation cache).
 //
 // The hash covers live and dead nodes alike; it is intended for
-// canonical graphs as produced by Cleanup or by the transformations in
-// internal/rewrite (which end in Cleanup or a fresh build), where the
-// representation itself is a deterministic function of the logic.
+// canonical graphs as produced by Cleanup (every rewrite.Step ends in
+// one), where the representation itself is a deterministic function of
+// the logic.
 func (g *AIG) StructuralFingerprint() Fingerprint {
 	h1 := uint64(fnvOffset)
 	h2 := uint64(fnv2Offset)

@@ -57,10 +57,8 @@ func TestCloneBehavesIdenticallyUnderCleanup(t *testing.T) {
 }
 
 // TestCleanupIdempotent: re-cleaning the Cleanup of an And-constructed
-// graph reproduces it bit-for-bit. (This is not a theorem for graphs
-// with replacement indirections, whose resolution can reorder the DFS;
-// the memo engine therefore relies only on determinism and exact
-// fingerprints, not on idempotence.)
+// graph reproduces it bit-for-bit. (Graphs with replacement
+// indirections are covered by rewrite's TestStepIsCanonical.)
 func TestCleanupIdempotent(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g := randomGraph(seed, 10, 120)

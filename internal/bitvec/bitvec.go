@@ -338,6 +338,16 @@ func Expand(t TT, nvars int, perm []int) TT {
 		panic("bitvec: Expand permutation length mismatch")
 	}
 	r := New(nvars)
+	free := make([]int, 0, nvars-t.nvars)
+	used := make([]bool, nvars)
+	for _, p := range perm {
+		used[p] = true
+	}
+	for v := 0; v < nvars; v++ {
+		if !used[v] {
+			free = append(free, v)
+		}
+	}
 	n := t.NumBits()
 	for i := 0; i < n; i++ {
 		if !t.Bit(i) {
@@ -351,16 +361,6 @@ func Expand(t TT, nvars int, perm []int) TT {
 		for v := 0; v < t.nvars; v++ {
 			if i&(1<<uint(v)) != 0 {
 				base |= 1 << uint(perm[v])
-			}
-		}
-		free := make([]int, 0, nvars-t.nvars)
-		used := make([]bool, nvars)
-		for _, p := range perm {
-			used[p] = true
-		}
-		for v := 0; v < nvars; v++ {
-			if !used[v] {
-				free = append(free, v)
 			}
 		}
 		for c := 0; c < 1<<uint(len(free)); c++ {
@@ -415,6 +415,61 @@ func (t TT) Hash() uint64 {
 // Words returns the backing words of t. The slice must not be modified.
 func (t TT) Words() []uint64 { return t.w }
 
+// WordsFor returns the number of 64-bit words a table over nvars
+// variables occupies.
+func WordsFor(nvars int) int { return wordsFor(nvars) }
+
+// FromWords returns the table over nvars variables backed by w, which is
+// not copied: t aliases w until either is modified. len(w) must be
+// WordsFor(nvars). For fewer than 6 variables the unused high bits of
+// w[0] are cleared in place. Kernels that keep tables in their own
+// scratch use it to hand out a TT without allocating.
+func FromWords(nvars int, w []uint64) TT {
+	if nvars < 0 || nvars > MaxVars || len(w) != wordsFor(nvars) {
+		panic(fmt.Sprintf("bitvec: %d words for %d variables", len(w), nvars))
+	}
+	t := TT{nvars: nvars, w: w}
+	t.mask()
+	return t
+}
+
+// VarWord returns the one-word pattern of variable i < 6: bit m is set
+// iff bit i of minterm m is.
+func VarWord(i int) uint64 { return varPattern[i] }
+
+// Replicate spreads a one-word table over nvars < 6 variables (its
+// meaningful low 2^nvars bits) across all 64 bits, giving the same
+// function over 6 variables, none of the added ones in its support.
+func Replicate(w uint64, nvars int) uint64 {
+	w &= usedMask(nvars)
+	for k := nvars; k < 6; k++ {
+		w |= w << (uint(1) << uint(k))
+	}
+	return w
+}
+
+// StretchWord moves variable i of the one-word table w to variable
+// perm[i]. The table must depend only on variables 0..len(perm)-1, and
+// perm must be strictly increasing with perm[i] >= i and every entry
+// below 6; the result depends only on the variables in perm. It is the
+// word-level form of Expand for cut enumeration, where a child cut's
+// leaves keep their order inside the merged leaf set.
+func StretchWord(w uint64, perm []int) uint64 {
+	for i := len(perm) - 1; i >= 0; i-- {
+		j := perm[i]
+		if j == i {
+			continue
+		}
+		// Variable j is outside the support here, so swapping i and j
+		// moves the dependence: exchange the minterms with x_i=1, x_j=0
+		// and their partners with x_i=0, x_j=1.
+		shift := uint(1)<<uint(j) - uint(1)<<uint(i)
+		d := (w ^ w>>shift) & varPattern[i] &^ varPattern[j]
+		w ^= d | d<<shift
+	}
+	return w
+}
+
 // String renders the truth table as a hex string, most significant word
 // first, e.g. "0x8" for AND over 2 variables.
 func (t TT) String() string {
@@ -424,8 +479,6 @@ func (t TT) String() string {
 	if digits == 0 {
 		digits = 1
 	}
-	hex := fmt.Sprintf("%0*x", digits, 0)
-	_ = hex
 	buf := make([]byte, 0, digits)
 	for i := digits - 1; i >= 0; i-- {
 		nib := (t.w[(i*4)>>6] >> uint((i*4)&63)) & 0xF

@@ -153,6 +153,51 @@ func TestExpandShrinkRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStretchWordMatchesExpand checks the word-level stretch against
+// Expand for every increasing placement of n <= k <= 6 variables.
+func TestStretchWordMatchesExpand(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for k := 1; k <= 6; k++ {
+		for set := 0; set < 1<<uint(k); set++ {
+			var perm []int
+			for v := 0; v < k; v++ {
+				if set&(1<<uint(v)) != 0 {
+					perm = append(perm, v)
+				}
+			}
+			small := randomTT(rng, len(perm))
+			want := Expand(small, k, perm)
+			// The stretch input is the small table over k variables.
+			in := Expand(small, k, identity(len(perm)))
+			got := FromWords(k, []uint64{StretchWord(in.Words()[0], perm)})
+			if !Equal(got, want) {
+				t.Fatalf("k=%d perm=%v: stretch %v, expand %v", k, perm, got, want)
+			}
+		}
+	}
+}
+
+func identity(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
+}
+
+func TestReplicateKeepsFunction(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for k := 0; k <= 6; k++ {
+		f := randomTT(rng, k)
+		w := Replicate(f.Words()[0], k)
+		for m := 0; m < 64; m++ {
+			if (w>>uint(m))&1 != 0 != f.Bit(m&(f.NumBits()-1)) {
+				t.Fatalf("k=%d minterm %d: replicated table differs", k, m)
+			}
+		}
+	}
+}
+
 func TestHashDistinguishes(t *testing.T) {
 	a := Var(4, 0)
 	b := Var(4, 1)

@@ -2,6 +2,7 @@ package cut
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -32,7 +33,7 @@ func buildRandom(rng *rand.Rand, nin, nand int) *aig.AIG {
 // the whole graph restricted to the cut leaves.
 func verifyCutTT(t *testing.T, g *aig.AIG, root int, c Cut, k int) {
 	t.Helper()
-	tt, ok := ConeTT(g, root, c.Leaves)
+	tt, ok := new(Cones).ConeTT(g, root, c.Leaves)
 	if !ok {
 		t.Fatalf("cut %v of node %d is not a valid cone boundary", c.Leaves, root)
 	}
@@ -141,11 +142,11 @@ func TestReconvCutBoundsAndValidity(t *testing.T) {
 		g := buildRandom(rng, 8, 120)
 		for _, k := range []int{4, 8, 12} {
 			g.ForEachLiveAnd(func(id int) {
-				leaves := ReconvCut(g, id, k)
+				leaves := new(Cones).ReconvCut(g, id, k)
 				if len(leaves) > k {
 					t.Fatalf("reconv cut width %d > k=%d", len(leaves), k)
 				}
-				if _, ok := ConeTT(g, id, leaves); !ok {
+				if _, ok := new(Cones).ConeTT(g, id, leaves); !ok {
 					t.Fatalf("reconv cut %v of %d is not a boundary", leaves, id)
 				}
 			})
@@ -162,11 +163,11 @@ func TestReconvCutTTMatchesSimulation(t *testing.T) {
 	f := g.Or(g.And(a, b), g.And(c, d))
 	g.AddOutput(f, "f")
 	g.RecomputeRefs()
-	leaves := ReconvCut(g, f.Node(), 6)
+	leaves := new(Cones).ReconvCut(g, f.Node(), 6)
 	if len(leaves) != 4 {
 		t.Fatalf("leaves = %v, want the 4 inputs", leaves)
 	}
-	tt, ok := ConeTT(g, f.Node(), leaves)
+	tt, ok := new(Cones).ConeTT(g, f.Node(), leaves)
 	if !ok {
 		t.Fatal("invalid cone")
 	}
@@ -185,8 +186,8 @@ func TestConeNodesTopological(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := buildRandom(rng, 6, 60)
 	g.ForEachLiveAnd(func(id int) {
-		leaves := ReconvCut(g, id, 8)
-		interior := ConeNodes(g, id, leaves)
+		leaves := new(Cones).ReconvCut(g, id, 8)
+		interior := new(Cones).coneNodes(g, id, leaves)
 		if interior == nil {
 			t.Fatalf("unbounded cone for %d / %v", id, leaves)
 		}
@@ -230,9 +231,54 @@ func BenchmarkReconvCutK12(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := buildRandom(rng, 16, 2000)
 	ids := g.LiveAnds()
+	var c Cones
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ReconvCut(g, ids[i%len(ids)], 12)
+		_ = c.ReconvCut(g, ids[i%len(ids)], 12)
+	}
+}
+
+// TestConesReuseMatchesFresh runs ReconvCut and ConeTT for every node of
+// random graphs on one shared Cones and requires the results of fresh
+// calls: no mark or table from an earlier node may leak into a later one.
+func TestConesReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var c Cones
+	for trial := 0; trial < 5; trial++ {
+		g := buildRandom(rng, 10, 150)
+		for _, k := range []int{4, 8, 10} {
+			g.ForEachLiveAnd(func(id int) {
+				got := c.ReconvCut(g, id, k)
+				want := new(Cones).ReconvCut(g, id, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("node %d k=%d: shared cut %v, fresh %v", id, k, got, want)
+				}
+				gt, gok := c.ConeTT(g, id, want)
+				wt, wok := new(Cones).ConeTT(g, id, want)
+				if gok != wok || (gok && !bitvec.Equal(gt, wt)) {
+					t.Fatalf("node %d k=%d: shared table %v/%v, fresh %v/%v", id, k, gt, gok, wt, wok)
+				}
+			})
+		}
+	}
+}
+
+func TestConeTTAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	g := buildRandom(rng, 16, 2000)
+	ids := g.LiveAnds()
+	var c Cones
+	for _, id := range ids { // grow the scratch to the largest cone
+		c.ConeTT(g, id, new(Cones).ReconvCut(g, id, 10))
+	}
+	for _, id := range ids[len(ids)-5:] {
+		leaves := new(Cones).ReconvCut(g, id, 10)
+		if n := testing.AllocsPerRun(20, func() { c.ConeTT(g, id, leaves) }); n != 0 {
+			t.Errorf("node %d: ConeTT made %v allocations, want 0", id, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { c.ReconvCut(g, id, 10) }); n != 0 {
+			t.Errorf("node %d: ReconvCut made %v allocations, want 0", id, n)
+		}
 	}
 }

@@ -910,11 +910,15 @@ func (l *Loop) retrain(ctx context.Context) error {
 		return nil
 	}
 
+	// Publish an inference clone: it shares the trained parameters but
+	// not the candidate's training buffers (retained activations, im2col
+	// scratch), which would otherwise stay alive as long as anything
+	// holds the model.
 	next := &serve.Model{
 		Name:      cur.Name,
 		Space:     cur.Space,
 		Arch:      cur.Arch,
-		Net:       cand,
+		Net:       cand.InferenceClone(),
 		Path:      cur.Path,
 		Precision: cur.Precision,
 	}

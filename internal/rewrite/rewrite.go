@@ -20,6 +20,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"flowgen/internal/aig"
@@ -29,7 +30,10 @@ import (
 )
 
 // Transform is a function-preserving synthesis transformation. It returns
-// a cleaned-up graph (the input graph must not be used afterwards).
+// the transformed graph, which may be the input graph modified in place
+// and may hold dead nodes and replacement indirections; Step is the one
+// place that canonicalizes it. The input graph must not be used
+// afterwards.
 type Transform func(*aig.AIG) *aig.AIG
 
 // Names lists the canonical transformation names in the order used by the
@@ -207,7 +211,7 @@ func Rewrite(g *aig.AIG, zero bool) *aig.AIG {
 			g.AbortSpeculate(id)
 		}
 	}
-	return g.Cleanup()
+	return g
 }
 
 // leavesUsable reports whether every cut leaf is still a usable basis for
@@ -266,23 +270,25 @@ type coneCacheEntry struct {
 	inv  bool
 }
 
-func coneKey(tt interface{ Words() []uint64 }, nvars int) string {
-	w := tt.Words()
-	b := make([]byte, 1+8*len(w))
-	b[0] = byte(nvars)
-	for i, x := range w {
-		for j := 0; j < 8; j++ {
-			b[1+8*i+j] = byte(x >> uint(8*j))
-		}
-	}
-	return string(b)
+// maxConeVars bounds refactorK's cut size: coneKey holds a table of up
+// to 2^10 bits.
+const maxConeVars = 10
+
+// coneKey identifies a cone function: its leaf count and truth table.
+type coneKey struct {
+	nvars int
+	w     [1 << (maxConeVars - 6)]uint64
 }
 
 func refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG {
+	if k > maxConeVars {
+		panic(fmt.Sprintf("rewrite: refactoring cut size %d above %d", k, maxConeVars))
+	}
 	g.RecomputeRefs()
 	g.RecomputeLevels()
-	cache := make(map[string]coneCacheEntry)
+	cache := make(map[coneKey]coneCacheEntry)
 	ids := g.LiveAnds()
+	var cones cut.Cones
 	var lits []aig.Lit // leaf-literal buffer reused across cones
 	for _, id := range ids {
 		if !g.IsAnd(id) || g.Ref(id) == 0 {
@@ -297,32 +303,20 @@ func refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG {
 		if g.MFFCSize(id) < 2 {
 			continue
 		}
-		leaves := cut.ReconvCut(g, id, k)
-		if len(leaves) < 3 {
+		leaves := cones.ReconvCut(g, id, k)
+		if len(leaves) < 3 || slices.Contains(leaves, id) {
 			continue
 		}
-		usable := true
-		for _, l := range leaves {
-			if l == id {
-				usable = false
-				break
-			}
-		}
-		if !usable {
-			continue
-		}
-		tt, ok := cut.ConeTT(g, id, leaves)
+		tt, ok := cones.ConeTT(g, id, leaves)
 		if !ok {
 			continue
 		}
-		var expr *sop.Expr
-		var inv bool
-		ck := coneKey(tt, len(leaves))
-		if e, hit := cache[ck]; hit {
-			expr, inv = e.expr, e.inv
-		} else {
-			expr, inv = sop.FactorTTFast(tt)
-			cache[ck] = coneCacheEntry{expr, inv}
+		ck := coneKey{nvars: len(leaves)}
+		copy(ck.w[:], tt.Words())
+		e, hit := cache[ck]
+		if !hit {
+			e.expr, e.inv = sop.FactorTTFast(tt)
+			cache[ck] = e
 		}
 		oldLevel := g.Level(id)
 		freed := g.BeginSpeculate(id)
@@ -330,7 +324,7 @@ func refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG {
 		for _, l := range leaves {
 			lits = append(lits, aig.MakeLit(l, false))
 		}
-		newLit := sop.BuildAIG(g, expr, lits).NotIf(inv)
+		newLit := sop.BuildAIG(g, e.expr, lits).NotIf(e.inv)
 		if newLit.Node() == id {
 			g.AbortSpeculate(id)
 			continue
@@ -347,7 +341,7 @@ func refactorK(g *aig.AIG, zero bool, k int, depthAware bool) *aig.AIG {
 			g.AbortSpeculate(id)
 		}
 	}
-	return g.Cleanup()
+	return g
 }
 
 // Apply runs the named transformations in sequence and returns the final

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flowgen/internal/aig"
+	"flowgen/internal/circuits"
 )
 
 // buildRandom constructs a random, somewhat redundant DAG.
@@ -331,6 +332,33 @@ func TestStepDeterministicOnClones(t *testing.T) {
 		b := Step(tr, c)
 		if a.StructuralFingerprint() != b.StructuralFingerprint() {
 			t.Fatalf("%s diverged between a graph and its clone", name)
+		}
+	}
+}
+
+// TestStepIsCanonical: the graph a Step returns is its own Cleanup, for
+// every transformation along a flow on a real design. A transformation
+// that replaces nodes in place can leave a fanin resolving into its
+// sibling's cone; a single compaction of such a graph is not canonical
+// (mont8's fourth step below is one), and without the canonical form
+// the memo engine's fingerprints and the QoRs would depend on how many
+// times a graph had been cleaned.
+func TestStepIsCanonical(t *testing.T) {
+	for _, design := range []string{"mont8", "alu8"} {
+		d, err := circuits.ByName(design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := d.Build().Cleanup()
+		for _, name := range []string{"refactor", "rewrite", "refactor -z", "rewrite -z", "restructure", "balance"} {
+			tr, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g = Step(tr, g)
+			if g.Cleanup().StructuralFingerprint() != g.StructuralFingerprint() {
+				t.Fatalf("%s: Step(%s) is not its own Cleanup", design, name)
+			}
 		}
 	}
 }

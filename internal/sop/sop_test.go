@@ -2,6 +2,8 @@ package sop
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -244,5 +246,229 @@ func BenchmarkFactor10Vars(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Factor(s)
+	}
+}
+
+// isopOracle is the table-based Minato–Morreale recursion ISOP replaced:
+// it returns an irredundant cover S with L <= S <= U, plus the covered
+// set as a truth table. ISOP must return its cubes exactly, order
+// included.
+func isopOracle(L, U bitvec.TT, nvars int) ([]Cube, bitvec.TT) {
+	if L.IsConst0() {
+		return nil, bitvec.Const(nvars, false)
+	}
+	if U.IsConst1() {
+		return []Cube{{}}, bitvec.Const(nvars, true)
+	}
+	// Splitting variable: the highest variable in the support of L or U.
+	v := -1
+	for i := nvars - 1; i >= 0; i-- {
+		if L.DependsOn(i) || U.DependsOn(i) {
+			v = i
+			break
+		}
+	}
+	if v < 0 {
+		return []Cube{{}}, bitvec.Const(nvars, true)
+	}
+	L0, L1 := bitvec.Cofactor0(L, v), bitvec.Cofactor1(L, v)
+	U0, U1 := bitvec.Cofactor0(U, v), bitvec.Cofactor1(U, v)
+	S0, C0 := isopOracle(bitvec.AndNot(L0, U1), U0, nvars)
+	S1, C1 := isopOracle(bitvec.AndNot(L1, U0), U1, nvars)
+	Lnew := bitvec.Or(bitvec.AndNot(L0, C0), bitvec.AndNot(L1, C1))
+	S2, C2 := isopOracle(Lnew, bitvec.And(U0, U1), nvars)
+
+	cubes := make([]Cube, 0, len(S0)+len(S1)+len(S2))
+	for _, c := range S0 {
+		c.Neg |= 1 << uint(v)
+		cubes = append(cubes, c)
+	}
+	for _, c := range S1 {
+		c.Pos |= 1 << uint(v)
+		cubes = append(cubes, c)
+	}
+	cubes = append(cubes, S2...)
+	x := bitvec.Var(nvars, v)
+	cover := bitvec.Or(C2, bitvec.Or(bitvec.AndNot(C0, x), bitvec.And(C1, x)))
+	return cubes, cover
+}
+
+// factorOracle is the copying literal factoring factorCubes replaced.
+func factorOracle(cubes []Cube, nvars int) *Expr {
+	if len(cubes) == 0 {
+		return &Expr{Kind: KindConst, Neg: true}
+	}
+	for _, c := range cubes {
+		if c.Pos == 0 && c.Neg == 0 {
+			return &Expr{Kind: KindConst}
+		}
+	}
+	var rec func(cubes []Cube) *Expr
+	rec = func(cubes []Cube) *Expr {
+		if len(cubes) == 1 {
+			return cubeExpr(cubes[0], nvars)
+		}
+		var count [64]int
+		for _, c := range cubes {
+			for v := 0; v < nvars; v++ {
+				if c.Pos&(1<<uint(v)) != 0 {
+					count[v]++
+				}
+				if c.Neg&(1<<uint(v)) != 0 {
+					count[32+v]++
+				}
+			}
+		}
+		best, bestCount := -1, 1
+		for i, n := range count {
+			if n > bestCount {
+				best, bestCount = i, n
+			}
+		}
+		if best < 0 {
+			args := make([]*Expr, len(cubes))
+			for i, c := range cubes {
+				args[i] = cubeExpr(c, nvars)
+			}
+			return &Expr{Kind: KindOr, Args: args}
+		}
+		v, neg := best, best >= 32
+		if neg {
+			v -= 32
+		}
+		bit := uint32(1) << uint(v)
+		var quot, rem []Cube
+		for _, c := range cubes {
+			switch {
+			case neg && c.Neg&bit != 0:
+				c.Neg &^= bit
+				quot = append(quot, c)
+			case !neg && c.Pos&bit != 0:
+				c.Pos &^= bit
+				quot = append(quot, c)
+			default:
+				rem = append(rem, c)
+			}
+		}
+		lit := &Expr{Kind: KindLit, Var: v, Neg: neg}
+		qex := lit
+		if len(quot) != 1 || quot[0].Pos != 0 || quot[0].Neg != 0 {
+			qex = &Expr{Kind: KindAnd, Args: []*Expr{lit, rec(quot)}}
+		}
+		if len(rem) == 0 {
+			return qex
+		}
+		return &Expr{Kind: KindOr, Args: []*Expr{qex, rec(rem)}}
+	}
+	return rec(cubes)
+}
+
+// fuzzTT draws a table over nvars variables that depends only on a
+// random subset of them, with a random density of ones, so that
+// interval narrowing and every split position get exercised.
+func fuzzTT(rng *rand.Rand, nvars int, density float64) bitvec.TT {
+	support := rng.Intn(1 << uint(nvars))
+	f := bitvec.New(nvars)
+	vals := map[int]bool{}
+	for i := 0; i < f.NumBits(); i++ {
+		key := i & support
+		v, ok := vals[key]
+		if !ok {
+			v = rng.Float64() < density
+			vals[key] = v
+		}
+		f.SetBit(i, v)
+	}
+	return f
+}
+
+// FuzzISOPMatchesOracle requires ISOP to return exactly the oracle's cube
+// list, order included, for random tables over 0..12 variables, and
+// Factor of that cover to match the copying factoring oracle.
+func FuzzISOPMatchesOracle(f *testing.F) {
+	f.Add(uint8(0), int64(1), uint8(128))
+	f.Add(uint8(3), int64(2), uint8(40))
+	f.Add(uint8(6), int64(3), uint8(128))
+	f.Add(uint8(7), int64(4), uint8(200))
+	f.Add(uint8(10), int64(5), uint8(128))
+	f.Add(uint8(12), int64(6), uint8(20))
+	f.Fuzz(func(t *testing.T, nvars uint8, seed int64, density uint8) {
+		k := int(nvars % 13)
+		rng := rand.New(rand.NewSource(seed))
+		tt := fuzzTT(rng, k, float64(density)/255)
+		for _, fn := range []bitvec.TT{tt, bitvec.Not(tt)} {
+			want, cover := isopOracle(fn, fn, k)
+			if !bitvec.Equal(cover, fn) {
+				t.Fatalf("k=%d: oracle cover differs from the function", k)
+			}
+			got := ISOP(fn)
+			if got.NVars != k || !slices.Equal(got.Cubes, want) {
+				t.Fatalf("k=%d %v:\n got %v\nwant %v", k, fn, got, SOP{NVars: k, Cubes: want})
+			}
+			if g, w := Factor(got).String(), factorOracle(want, k).String(); g != w {
+				t.Fatalf("k=%d %v: Factor %s, oracle %s", k, fn, g, w)
+			}
+		}
+	})
+}
+
+func TestISOPAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop values")
+	}
+	rng := rand.New(rand.NewSource(8))
+	for _, k := range []int{4, 6, 10, 12} {
+		f := randomTT(rng, k)
+		ISOP(f) // warm the pool
+		if n := testing.AllocsPerRun(20, func() { ISOP(f) }); n > 1 {
+			t.Errorf("k=%d: ISOP made %v allocations, want at most 1", k, n)
+		}
+	}
+}
+
+// TestCombineBalancedMatchesSortSlice pins combineBalanced's operand
+// order to the copy-and-sort.Slice loop it replaced: equal-level operands
+// must pair exactly as before, or rebuilt cones change shape.
+func TestCombineBalancedMatchesSortSlice(t *testing.T) {
+	oracle := func(g *aig.AIG, lits []aig.Lit, disj bool) aig.Lit {
+		level := func(l aig.Lit) int { return g.Level(l.Node()) }
+		work := append([]aig.Lit(nil), lits...)
+		for len(work) > 1 {
+			sort.Slice(work, func(i, j int) bool { return level(work[i]) < level(work[j]) })
+			var n aig.Lit
+			if disj {
+				n = g.Or(work[0], work[1])
+			} else {
+				n = g.And(work[0], work[1])
+			}
+			work = append(work[2:], n)
+		}
+		return work[0]
+	}
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		// Operands at a handful of levels, so many ties.
+		g := aig.New()
+		var pool []aig.Lit
+		for i := 0; i < 30; i++ {
+			pool = append(pool, g.AddInput("x"))
+		}
+		for i := 0; i < 60; i++ {
+			a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+			pool = append(pool, g.And(a.NotIf(rng.Intn(2) == 0), b))
+		}
+		n := 1 + rng.Intn(24)
+		lits := make([]aig.Lit, n)
+		for i := range lits {
+			lits[i] = pool[rng.Intn(len(pool))].NotIf(rng.Intn(2) == 0)
+		}
+		disj := rng.Intn(2) == 0
+		h := g.Clone()
+		want := oracle(g, lits, disj)
+		got := combineBalanced(h, slices.Clone(lits), disj)
+		if got != want || h.NumNodesRaw() != g.NumNodesRaw() {
+			t.Fatalf("trial %d (n=%d): got %v over %d nodes, want %v over %d",
+				trial, n, got, h.NumNodesRaw(), want, g.NumNodesRaw())
+		}
 	}
 }

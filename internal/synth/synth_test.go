@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"flowgen/internal/circuits"
@@ -73,8 +74,12 @@ func TestEvaluateAllProgress(t *testing.T) {
 	e := NewEngine(circuits.ALU(8), smallSpace())
 	rng := rand.New(rand.NewSource(4))
 	flows := e.Space.RandomUnique(rng, 5)
+	// progress runs concurrently on the worker goroutines.
+	var mu sync.Mutex
 	max := 0
 	_, err := e.EvaluateAll(flows, func(done int) {
+		mu.Lock()
+		defer mu.Unlock()
 		if done > max {
 			max = done
 		}
